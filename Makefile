@@ -91,12 +91,14 @@ race:
 # data race in the session-reuse machinery cannot hide behind identical
 # output. The lockstep lane engine and the certificate shape pricer make
 # the same claim against scalar replays (DESIGN.md §5h), so their
-# differential suites run here too.
+# differential suites run here too — including predictor's, which holds
+# its quiet-mode lane path to the session path — with the lane engine's
+# storage-reuse test.
 diff:
 	$(GO) test -race -run 'Reference|Reset|Reconfigure|Fuzz' \
 		./internal/sim ./internal/worstcase
-	$(GO) test -race -run 'Lockstep|Shape|Lanes' \
-		./internal/robust ./internal/analyze ./internal/lanes
+	$(GO) test -race -run 'Lockstep|Shape|Lanes|EngineReuse' \
+		./internal/robust ./internal/analyze ./internal/lanes ./internal/predictor
 
 # Figure-level benchmarks (repo root) plus the scheduler-core stress
 # benchmarks; the scheduler run is also recorded, with -benchmem, as

@@ -10,11 +10,12 @@
 // program and pattern validation, the arena decode of every
 // communication step, the per-step computation-cost sums, session
 // reconfiguration, and the indexed scheduler structures. The lane
-// engine hoists all of it: the program is validated and decoded once
-// (flat per-processor send windows, in-degrees, sender masks, byte
-// classes), the unperturbed computation charges are summed once per
-// step and shared, and each lane's per-class LogGP derivatives (arrival
-// delay, like/unlike operation intervals) are tabulated once per lane.
+// engine hoists all of it: the program is validated once and each step
+// decoded once, just before every lane replays it (flat per-processor
+// send windows, in-degrees, sender masks, receive runs, byte classes),
+// the unperturbed computation charges are summed once per step and
+// shared, and each lane's LogGP derivatives (arrival delay, like/unlike
+// operation intervals) are tabulated once per lane and byte class.
 // The scheduler cores themselves are leaner than the sessions': because
 // every communication phase starts and ends with empty receive queues,
 // only clocks and gap floors persist per lane; receive buffers, send
@@ -28,12 +29,21 @@
 // processors, and a processor that remains the strict minimum after a
 // commit keeps committing without a rescan (the common case in
 // broadcast-shaped steps), so the per-lane cost approaches the bare
-// per-message float arithmetic. Lane results
-// are bit-identical to per-sample predictor.Evaluator replays: the
-// cores replicate the schedulers' reference loops
-// (sim.runPaperReference, worstcase.runReference — the oracles the
-// session cores are differentially tested against) decision for
-// decision, including when tie-break randomness is consumed.
+// per-message float arithmetic. The cores replicate the schedulers'
+// reference loops (sim.runPaperReference, worstcase.runReference — the
+// oracles the session cores are differentially tested against) decision
+// for decision, including when tie-break randomness is consumed, so a
+// lane's results are bit-identical to a replay of the same
+// configuration on the sim/worstcase sessions. That replay is the
+// oracle: predictor keeps it for its timeline and ablation modes and
+// holds its quiet-mode lane path (this engine at width 1) equal to it
+// in a differential suite.
+//
+// Besides the two totals, every lane accumulates the decomposition
+// predictor.Prediction reports: per processor, the computation time and
+// the clock advance across each communication phase (waiting included)
+// under both algorithms, summed in the same order as the session path's
+// clock reads, so the sums are bit-identical too.
 //
 // Divergence between lanes is handled two ways:
 //
@@ -44,12 +54,12 @@
 //     scalar sessions) and its compiled fault injector.
 //
 //   - Branch divergence — a message exhausting its retries aborts the
-//     sample — masks the lane out: the lane records its error (the
-//     *faults.LossError is preserved in the chain) and is skipped for
-//     the rest of the run, exactly as the scalar path abandons the
+//     sample — masks the lane out: the lane records a *MessageError
+//     (the *faults.LossError is preserved in the chain) and is skipped
+//     for the rest of the run, exactly as the scalar path abandons the
 //     sample. No scalar replay is needed for masked lanes: the abort
 //     point is mid-step and the lane's remaining schedule is never
-//     observed by anyone.
+//     observed by anyone. Once every lane is masked the run stops.
 //
 // Fault decisions are pure functions of (plan seed, identities), never
 // of evaluation order (see internal/faults), so interleaving lanes
@@ -95,18 +105,59 @@ type Config struct {
 	Ctx context.Context
 }
 
-// Result is one lane's outcome.
+// Result is one lane's outcome. Every time is bit-identical to the
+// same field of predictor.Prediction for the equivalent configuration
+// replayed on the sim/worstcase sessions.
 type Result struct {
 	// Total and TotalWorst are the standard and worst-case predicted
-	// running times, bit-identical to predictor.Prediction's fields for
-	// an equivalent scalar configuration.
+	// running times.
 	Total      float64
 	TotalWorst float64
+	// Comm and CommWorst are the maximum over processors of the clock
+	// advance accumulated across communication phases, under the
+	// standard and worst-case algorithms.
+	Comm      float64
+	CommWorst float64
+	// Comp is the maximum over processors of the summed (perturbed)
+	// computation charges; Engine.CompPerProc has the per-processor sums.
+	Comp float64
 	// Err, when non-nil, marks a masked lane: the replay aborted (a
-	// *faults.LossError in the chain means the sample lost a message)
-	// and the totals are meaningless.
+	// *MessageError wrapping a *faults.LossError means the sample lost a
+	// message) and the times are meaningless.
 	Err error
 }
+
+// A MessageError masks a lane whose fault hook failed on one message:
+// the message exhausted its retries (Err wraps the *faults.LossError)
+// or the hook returned an unusable charge.
+type MessageError struct {
+	// Step is the program step and Msg the message's index in that
+	// step's pattern; Src and Dst are its endpoints.
+	Step, Msg, Src, Dst int
+	// Worst reports that the worst-case replay failed; otherwise the
+	// standard one did.
+	Worst bool
+	Err   error
+}
+
+func (e *MessageError) Error() string {
+	return fmt.Sprintf("lanes: message %d (%d->%d): %v", e.Msg, e.Src, e.Dst, e.Err)
+}
+
+func (e *MessageError) Unwrap() error { return e.Err }
+
+// A StepError is the error Run returns when Config.Ctx ends the run
+// before program step Step of Steps; it wraps the context's error.
+type StepError struct {
+	Step, Steps int
+	Err         error
+}
+
+func (e *StepError) Error() string {
+	return fmt.Sprintf("lanes: step %d of %d: %v", e.Step, e.Steps, e.Err)
+}
+
+func (e *StepError) Unwrap() error { return e.Err }
 
 // stepPlan is the decoded structure of one communication step. The
 // messages are laid out in send slots grouped by sender (pattern order
@@ -131,29 +182,50 @@ type stepPlan struct {
 	nmsgs    int
 }
 
+// classTab is one lane's LogGP derivatives for one byte class,
+// evaluated with the exact expressions of loggp.Params.ArrivalDelay and
+// Interval.
+type classTab struct {
+	ad     float64 // ArrivalDelay(bytes)
+	like   float64 // Interval(k, k, bytes): like consecutive ops
+	unlike float64 // Interval(k, k', bytes), k != k'
+}
+
 const (
 	candRecv = uint8(0)
 	candSend = uint8(1)
 )
 
 // Engine holds the lockstep state. The zero value is ready; Run may be
-// called repeatedly (each call rebuilds the program plan and reuses the
-// storage). An Engine must not be used concurrently.
+// called repeatedly. The program is decoded one step at a time, just
+// before the lanes replay that step, into storage reused across steps
+// and runs: the plan never holds more than the largest step, and a
+// steady-state RunInto on a reused engine allocates nothing for a
+// zero-fault lane set. An Engine must not be used concurrently.
 type Engine struct {
-	p, lanes, classes, words int
+	p, lanes, words int
 
-	// Program plan, shared across lanes.
-	classBytes []int
-	steps      []stepPlan
-	baseDurs   [][]float64
-	maxNmsgs   int // max messages in any one step (arrival-buffer size)
-	maxRuns    int // max receive runs in any one step
+	// The current step's plan and unperturbed computation charges,
+	// shared across lanes.
+	sp   stepPlan
+	base []float64
 
-	// Per-lane machine derivatives, lane-major [lane*classes + class].
-	adTab       []float64 // ArrivalDelay(bytes)
-	ivLikeTab   []float64 // Interval(k, k, bytes): like consecutive ops
-	ivUnlikeTab []float64 // Interval(k, k', bytes), k != k'
-	o           []float64 // Params.O per lane
+	// Byte classes met so far in this run, and the decode scratch:
+	// per-processor counters and the per-(src,dst) message counts and
+	// run indices. pairCnt is all zero between steps: decodeStep resets
+	// every entry it counts, and its one error return precedes the
+	// counting.
+	classBytes     []int
+	classOf        map[int]int32
+	cnt, runCnt    []int32
+	pairs          []int32
+	pairCnt, runOf []int32
+
+	// Per-lane machine: the parameters, O, and the derivatives of every
+	// byte class met so far (tabs[lane][class]).
+	params []loggp.Params
+	o      []float64
+	tabs   [][]classTab
 
 	// Persistent per-lane-processor scheduler state, lane-major
 	// [lane*p + proc]: the clocks and gap-floor carries. The floors hold
@@ -163,9 +235,16 @@ type Engine struct {
 	ctStd, fsStd, frStd []float64
 	ctWC, fsWC, frWC    []float64
 
+	// Per-lane-processor decomposition accumulators, lane-major: summed
+	// computation charges, and summed clock advances across the
+	// communication phases of each algorithm. before is the per-step
+	// clock snapshot the advances are measured from.
+	comp, commStd, commWC []float64
+	before                []float64
+
 	// Step-transient scratch, shared by all lanes (every communication
 	// phase starts and ends with empty receive buffers, so nothing
-	// below outlives one lane-step). qKey/qSeq/qGid form the arrival
+	// below outlives one lane-step). qKey/qSeq/qCls form the arrival
 	// buffer the step's receive runs live in; rHead/rFill are the
 	// per-run consumed and filled counts.
 	qKey           []float64
@@ -173,7 +252,7 @@ type Engine struct {
 	rHead, rFill   []int32
 	rKey           []float64 // cached head arrival per run (valid while non-empty)
 	rSeq           []int32   // cached head sequence per run
-	head           []int32 // next unsent send slot per sender
+	head           []int32   // next unsent send slot per sender
 	toRecv, forced []int32
 	candKey        []float64
 	candKind       []uint8
@@ -212,8 +291,15 @@ func Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
 	return e.Run(pr, cfg, ls)
 }
 
-// Run is the method form, reusing the engine's storage across calls.
+// Run is the method form, reusing the engine's storage across calls; its
+// only steady-state allocation is the returned slice (see RunInto).
 func (e *Engine) Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
+	return e.RunInto(nil, pr, cfg, ls)
+}
+
+// RunInto is Run writing the results over dst, which is grown to
+// len(ls) entries only when its capacity is short.
+func (e *Engine) RunInto(dst []Result, pr *program.Program, cfg Config, ls []Lane) ([]Result, error) {
 	if cfg.Cost == nil {
 		return nil, fmt.Errorf("lanes: no cost model")
 	}
@@ -223,176 +309,236 @@ func (e *Engine) Run(pr *program.Program, cfg Config, ls []Lane) ([]Result, erro
 	if err := pr.Validate(); err != nil {
 		return nil, err
 	}
-	if err := e.decode(pr, cfg.Cost); err != nil {
-		return nil, err
-	}
-	e.prepare(pr.P, ls)
+	live := e.prepare(pr.P, ls)
 
-	for si := range e.steps {
+	p := e.p
+	for si, s := range pr.Steps {
+		if live == 0 {
+			break // every lane is masked; nobody observes the rest
+		}
 		if cfg.Ctx != nil {
 			if err := cfg.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("lanes: step %d of %d: %w", si, len(e.steps), err)
+				return nil, &StepError{Step: si, Steps: len(pr.Steps), Err: err}
 			}
 		}
-		sp := &e.steps[si]
-		base := e.baseDurs[si]
+		if err := e.decodeStep(si, s, cfg.Cost); err != nil {
+			return nil, err
+		}
+		sp := &e.sp
 		for l := range ls {
 			if e.errs[l] != nil {
 				continue
 			}
 			// Computation phase: the shared unperturbed charges, inflated
-			// by the lane's injector exactly as the scalar predictor
+			// by the lane's injector exactly as predictor's session path
 			// inflates them (same step and processor identities).
-			durs := base
+			durs := e.base
 			if inj := e.inj[l]; inj != nil {
 				for q := range e.durs {
-					e.durs[q] = inj.PerturbCompute(si, q, base[q])
+					e.durs[q] = inj.PerturbCompute(si, q, e.base[q])
 				}
 				durs = e.durs
 			}
-			lp := l * e.p
-			for q := 0; q < e.p; q++ {
-				e.ctStd[lp+q] += durs[q]
-				e.ctWC[lp+q] += durs[q]
+			lp := l * p
+			ctStd, ctWC := e.ctStd[lp:lp+p], e.ctWC[lp:lp+p]
+			comp := e.comp[lp : lp+p]
+			for q, d := range durs {
+				ctStd[q] += d
+				ctWC[q] += d
+				comp[q] += d
 			}
 			if sp.nmsgs == 0 {
-				continue // nothing to schedule; both loops would no-op
+				continue // nothing to schedule; no clock advances
 			}
 			// Each scheduler run resets the shared receive buffers on
 			// entry, so a lane dying mid-step cannot leak undelivered
 			// arrivals into the next lane.
+			copy(e.before, ctStd)
 			e.runStd(sp, si, l)
 			if e.errs[l] == nil {
+				accumulate(e.commStd[lp:lp+p], ctStd, e.before)
+				copy(e.before, ctWC)
 				e.runWC(sp, si, l)
 			}
-		}
-	}
-
-	out := make([]Result, len(ls))
-	for l := range ls {
-		if e.errs[l] != nil {
-			out[l].Err = e.errs[l]
-			continue
-		}
-		lp := l * e.p
-		for q := 0; q < e.p; q++ {
-			if c := e.ctStd[lp+q]; c > out[l].Total {
-				out[l].Total = c
-			}
-			if c := e.ctWC[lp+q]; c > out[l].TotalWorst {
-				out[l].TotalWorst = c
-			}
-		}
-	}
-	return out, nil
-}
-
-// decode builds the shared program plan: per-step flat send windows,
-// in-degrees, sender masks, receive-run tables and byte classes, plus
-// the unperturbed computation-charge sums. The program is already
-// validated.
-func (e *Engine) decode(pr *program.Program, model cost.Model) error {
-	e.p = pr.P
-	e.words = (pr.P + 63) / 64
-	e.classBytes = e.classBytes[:0]
-	e.steps = e.steps[:0]
-	e.baseDurs = e.baseDurs[:0]
-	e.maxNmsgs, e.maxRuns = 0, 0
-	classOf := make(map[int]int32)
-	cnt := make([]int32, pr.P)
-	fill := make([]int32, pr.P)
-	cnt2 := make([]int32, pr.P*pr.P)  // per (src,dst) message count
-	runOf := make([]int32, pr.P*pr.P) // per (src,dst) run index
-	for si, s := range pr.Steps {
-		durs := make([]float64, pr.P)
-		for q := range durs {
-			d := 0.0
-			for _, call := range s.Comp[q] {
-				d += model.Cost(call.Op, call.BlockSize)
-			}
-			if d < 0 {
-				return fmt.Errorf("lanes: step %d: processor %d has negative computation time %g", si, q, d)
-			}
-			durs[q] = d
-		}
-		e.baseDurs = append(e.baseDurs, durs)
-		sp := stepPlan{
-			off:      make([]int32, pr.P+1),
-			inCnt:    make([]int32, pr.P),
-			sendMask: make([]uint64, e.words),
-		}
-		clear(cnt)
-		nmsgs := 0
-		for _, m := range s.Comm.Msgs {
-			if m.Src == m.Dst {
-				continue // local transfer: skipped by both schedulers
-			}
-			if _, ok := classOf[m.Bytes]; !ok {
-				classOf[m.Bytes] = int32(len(e.classBytes))
-				e.classBytes = append(e.classBytes, m.Bytes)
-			}
-			cnt[m.Src]++
-			sp.inCnt[m.Dst]++
-			cnt2[m.Src*pr.P+m.Dst]++
-			nmsgs++
-		}
-		sp.nmsgs = nmsgs
-		if nmsgs > e.maxNmsgs {
-			e.maxNmsgs = nmsgs
-		}
-		off := int32(0)
-		for q := 0; q < pr.P; q++ {
-			sp.off[q] = off
-			off += cnt[q]
-			if cnt[q] > 0 {
-				sp.sendMask[q>>6] |= 1 << (q & 63)
-			}
-		}
-		sp.off[pr.P] = off
-		// Receive runs: one per (sender, receiver) pair with traffic,
-		// grouped per receiver, each owning a region of the step's
-		// arrival buffer sized to the pair's message count.
-		sp.runIdx = make([]int32, pr.P+1)
-		nRuns, base := int32(0), int32(0)
-		for dst := 0; dst < pr.P; dst++ {
-			sp.runIdx[dst] = nRuns
-			for src := 0; src < pr.P; src++ {
-				if c := cnt2[src*pr.P+dst]; c > 0 {
-					runOf[src*pr.P+dst] = nRuns
-					sp.runBase = append(sp.runBase, base)
-					base += c
-					nRuns++
-				}
-			}
-		}
-		sp.runIdx[pr.P] = nRuns
-		sp.nRuns = int(nRuns)
-		if sp.nRuns > e.maxRuns {
-			e.maxRuns = sp.nRuns
-		}
-		// Second pass: fill the send slots, grouped by sender in
-		// pattern order.
-		sp.sDst = make([]int32, nmsgs)
-		sp.sCls = make([]int32, nmsgs)
-		sp.sRun = make([]int32, nmsgs)
-		sp.sOrig = make([]int32, nmsgs)
-		copy(fill, sp.off[:pr.P])
-		for idx, m := range s.Comm.Msgs {
-			if m.Src == m.Dst {
+			if e.errs[l] != nil {
+				live--
 				continue
 			}
-			slot := fill[m.Src]
-			fill[m.Src] = slot + 1
-			sp.sDst[slot] = int32(m.Dst)
-			sp.sCls[slot] = classOf[m.Bytes]
-			sp.sRun[slot] = runOf[m.Src*pr.P+m.Dst]
-			sp.sOrig[slot] = int32(idx)
-			cnt2[m.Src*pr.P+m.Dst] = 0
+			accumulate(e.commWC[lp:lp+p], ctWC, e.before)
 		}
-		e.steps = append(e.steps, sp)
 	}
-	e.classes = len(e.classBytes)
+
+	if cap(dst) < len(ls) {
+		dst = make([]Result, len(ls))
+	}
+	dst = dst[:len(ls)]
+	for l := range ls {
+		r := Result{Err: e.errs[l]}
+		if r.Err == nil {
+			lp := l * p
+			for q := 0; q < p; q++ {
+				r.Total = max(r.Total, e.ctStd[lp+q])
+				r.TotalWorst = max(r.TotalWorst, e.ctWC[lp+q])
+				r.Comm = max(r.Comm, e.commStd[lp+q])
+				r.CommWorst = max(r.CommWorst, e.commWC[lp+q])
+				r.Comp = max(r.Comp, e.comp[lp+q])
+			}
+		}
+		dst[l] = r
+	}
+	return dst, nil
+}
+
+// accumulate adds each processor's clock advance over a communication
+// phase, after[q] - before[q], to acc[q].
+func accumulate(acc, after, before []float64) {
+	for q := range acc {
+		acc[q] += after[q] - before[q]
+	}
+}
+
+// CompPerProc returns lane l's per-processor computation time from the
+// last run. The slice aliases engine storage: it is valid until the
+// next run and must not be modified.
+func (e *Engine) CompPerProc(l int) []float64 {
+	return e.comp[l*e.p : (l+1)*e.p : (l+1)*e.p]
+}
+
+// decodeStep builds step si's plan into e.sp — flat per-sender send
+// windows, in-degrees, the sender mask and the receive-run table,
+// registering byte classes as they first appear — sums its unperturbed
+// computation charges into e.base, and sizes the arrival buffer. The
+// program is already validated. Receive runs are numbered per receiver
+// in order of their first message; run order never decides a pop
+// (heads compare by (arrival, seq), which is unique), so any order
+// replays identically.
+func (e *Engine) decodeStep(si int, s *program.Step, model cost.Model) error {
+	p := e.p
+	for q := range e.base {
+		d := 0.0
+		for _, call := range s.Comp[q] {
+			d += model.Cost(call.Op, call.BlockSize)
+		}
+		if d < 0 {
+			return fmt.Errorf("lanes: step %d: processor %d has negative computation time %g", si, q, d)
+		}
+		e.base[q] = d
+	}
+	// First pass: per-sender and per-receiver counts, byte classes, and
+	// the distinct (sender, receiver) pairs in first-message order.
+	sp := &e.sp
+	cnt, runCnt, pairCnt, runOf := e.cnt, e.runCnt, e.pairCnt, e.runOf
+	clear(cnt)
+	clear(runCnt)
+	sp.inCnt = growI32(sp.inCnt, p)
+	e.pairs = e.pairs[:0]
+	nmsgs := 0
+	for _, m := range s.Comm.Msgs {
+		if m.Src == m.Dst {
+			continue // local transfer: skipped by both schedulers
+		}
+		if _, ok := e.classOf[m.Bytes]; !ok {
+			e.addClass(m.Bytes)
+		}
+		cnt[m.Src]++
+		sp.inCnt[m.Dst]++
+		k := m.Src*p + m.Dst
+		if pairCnt[k] == 0 {
+			e.pairs = append(e.pairs, int32(k))
+			runCnt[m.Dst]++
+		}
+		pairCnt[k]++
+		nmsgs++
+	}
+	sp.nmsgs = nmsgs
+	sp.off = growI32(sp.off, p+1)
+	if cap(sp.sendMask) < e.words {
+		sp.sendMask = make([]uint64, e.words)
+	}
+	sp.sendMask = sp.sendMask[:e.words]
+	clear(sp.sendMask)
+	o := int32(0)
+	for q := 0; q < p; q++ {
+		sp.off[q] = o
+		o += cnt[q]
+		if cnt[q] > 0 {
+			sp.sendMask[q>>6] |= 1 << (q & 63)
+		}
+	}
+	sp.off[p] = o
+	// Receive runs: one per (sender, receiver) pair with traffic,
+	// grouped per receiver, each owning a region of the step's arrival
+	// buffer sized to the pair's message count. runCnt turns into each
+	// receiver's next free run number.
+	sp.runIdx = growI32(sp.runIdx, p+1)
+	nRuns := int32(0)
+	for q := 0; q < p; q++ {
+		sp.runIdx[q] = nRuns
+		nRuns, runCnt[q] = nRuns+runCnt[q], nRuns
+	}
+	sp.runIdx[p] = nRuns
+	sp.nRuns = int(nRuns)
+	sp.runBase = growI32(sp.runBase, sp.nRuns)
+	for _, k := range e.pairs {
+		dst := int(k) % p
+		r := runCnt[dst]
+		runCnt[dst] = r + 1
+		runOf[k] = r
+		sp.runBase[r] = pairCnt[k] // the run's length, for now
+	}
+	b := int32(0)
+	for r, n := range sp.runBase {
+		sp.runBase[r], b = b, b+n
+	}
+	// Second pass: fill the send slots, grouped by sender in pattern
+	// order.
+	sp.sDst, sp.sCls = growI32(sp.sDst, nmsgs), growI32(sp.sCls, nmsgs)
+	sp.sRun, sp.sOrig = growI32(sp.sRun, nmsgs), growI32(sp.sOrig, nmsgs)
+	copy(cnt, sp.off[:p]) // cnt becomes each sender's next free slot
+	for idx, m := range s.Comm.Msgs {
+		if m.Src == m.Dst {
+			continue
+		}
+		slot := cnt[m.Src]
+		cnt[m.Src]++
+		k := m.Src*p + m.Dst
+		sp.sDst[slot] = int32(m.Dst)
+		sp.sCls[slot] = e.classOf[m.Bytes]
+		sp.sRun[slot] = runOf[k]
+		sp.sOrig[slot] = int32(idx)
+		pairCnt[k] = 0
+	}
+	// Arrival buffer and per-run state; every scheduler run resets the
+	// run counters itself, so nothing here needs clearing.
+	if cap(e.qKey) < nmsgs {
+		e.qKey = make([]float64, nmsgs)
+		e.qSeq, e.qCls = make([]int32, nmsgs), make([]int32, nmsgs)
+	}
+	if cap(e.rHead) < sp.nRuns {
+		e.rHead, e.rFill = make([]int32, sp.nRuns), make([]int32, sp.nRuns)
+		e.rKey, e.rSeq = make([]float64, sp.nRuns), make([]int32, sp.nRuns)
+	}
+	e.qKey, e.qSeq, e.qCls = e.qKey[:nmsgs], e.qSeq[:nmsgs], e.qCls[:nmsgs]
+	e.rHead, e.rFill = e.rHead[:sp.nRuns], e.rFill[:sp.nRuns]
+	e.rKey, e.rSeq = e.rKey[:sp.nRuns], e.rSeq[:sp.nRuns]
 	return nil
+}
+
+// addClass registers a new byte class and tabulates its LogGP
+// derivatives for every lane (a lane rejected by prepare gets entries it
+// never reads, keeping the class indices aligned).
+func (e *Engine) addClass(bytes int) {
+	e.classOf[bytes] = int32(len(e.classBytes))
+	e.classBytes = append(e.classBytes, bytes)
+	for l, pm := range e.params {
+		floor := max(pm.O, pm.Serialization(bytes))
+		t := classTab{ad: pm.ArrivalDelay(bytes), like: max(pm.Gap, floor)}
+		t.unlike = t.like
+		if pm.NoCrossGap {
+			t.unlike = floor
+		}
+		e.tabs[l] = append(e.tabs[l], t)
+	}
 }
 
 // growF64 / growI32 resize scratch to n entries, reusing backing.
@@ -414,15 +560,31 @@ func growI32(buf []int32, n int) []int32 {
 	return buf
 }
 
-// prepare sizes and initializes the engine state: fresh per-lane clocks
-// and gap floors, per-lane RNG pairs, injectors and per-class LogGP
-// tables, and the shared scratch (the arrival buffer sized once to the
-// program's largest step).
-func (e *Engine) prepare(p int, ls []Lane) {
+// prepare sizes and initializes the engine state for a run over p
+// processors: fresh per-lane clocks, gap floors and accumulators,
+// per-lane RNG pairs, injectors and machines (with empty class tables),
+// an empty byte-class index, and the shared per-processor scratch. It
+// returns the number of lanes that passed their configuration checks.
+func (e *Engine) prepare(p int, ls []Lane) int {
+	e.p = p
+	e.words = (p + 63) / 64
 	e.lanes = len(ls)
 	n := e.lanes * p
 	e.ctStd, e.fsStd, e.frStd = growF64(e.ctStd, n), growF64(e.fsStd, n), growF64(e.frStd, n)
 	e.ctWC, e.fsWC, e.frWC = growF64(e.ctWC, n), growF64(e.fsWC, n), growF64(e.frWC, n)
+	e.comp, e.commStd, e.commWC = growF64(e.comp, n), growF64(e.commStd, n), growF64(e.commWC, n)
+	e.before, e.base = growF64(e.before, p), growF64(e.base, p)
+
+	e.classBytes = e.classBytes[:0]
+	if e.classOf == nil {
+		e.classOf = make(map[int]int32)
+	}
+	clear(e.classOf)
+	e.cnt, e.runCnt = growI32(e.cnt, p), growI32(e.runCnt, p)
+	if cap(e.pairCnt) < p*p {
+		e.pairCnt, e.runOf = make([]int32, p*p), make([]int32, p*p)
+	}
+	e.pairCnt, e.runOf = e.pairCnt[:p*p], e.runOf[:p*p]
 
 	e.head = growI32(e.head, p)
 	e.toRecv, e.forced = growI32(e.toRecv, p), growI32(e.forced, p)
@@ -432,10 +594,6 @@ func (e *Engine) prepare(p int, ls []Lane) {
 	}
 	e.candKind = e.candKind[:p]
 	e.hRun, e.hKey = growI32(e.hRun, p), growF64(e.hKey, p)
-	e.qKey = growF64(e.qKey, e.maxNmsgs)
-	e.qSeq, e.qCls = growI32(e.qSeq, e.maxNmsgs), growI32(e.qCls, e.maxNmsgs)
-	e.rHead, e.rFill = growI32(e.rHead, e.maxRuns), growI32(e.rFill, e.maxRuns)
-	e.rKey, e.rSeq = growF64(e.rKey, e.maxRuns), growI32(e.rSeq, e.maxRuns)
 	e.tw = 1
 	for e.tw < p {
 		e.tw <<= 1
@@ -448,10 +606,6 @@ func (e *Engine) prepare(p int, ls []Lane) {
 	}
 	e.mask, e.pend = e.mask[:e.words], e.pend[:e.words]
 	e.durs = growF64(e.durs, p)
-
-	nc := e.lanes * e.classes
-	e.adTab = growF64(e.adTab, nc)
-	e.ivLikeTab, e.ivUnlikeTab = growF64(e.ivLikeTab, nc), growF64(e.ivUnlikeTab, nc)
 	e.o = growF64(e.o, e.lanes)
 
 	if cap(e.rngStd) < e.lanes {
@@ -467,10 +621,21 @@ func (e *Engine) prepare(p int, ls []Lane) {
 		e.errs = make([]error, e.lanes)
 	}
 	e.errs = e.errs[:e.lanes]
+	if cap(e.params) < e.lanes {
+		e.params = make([]loggp.Params, e.lanes)
+	}
+	e.params = e.params[:e.lanes]
+	if cap(e.tabs) < e.lanes {
+		e.tabs = append(e.tabs[:cap(e.tabs)], make([][]classTab, e.lanes-cap(e.tabs))...)
+	}
+	e.tabs = e.tabs[:e.lanes]
 
+	live := 0
 	for l, ln := range ls {
 		e.errs[l] = nil
 		e.inj[l] = nil
+		e.params[l] = ln.Params
+		e.tabs[l] = e.tabs[l][:0]
 		// The same acceptance checks the scalar sessions apply in
 		// Reconfigure; a rejected lane fails alone, like its sample would.
 		if err := ln.Params.Validate(); err != nil {
@@ -498,22 +663,9 @@ func (e *Engine) prepare(p int, ls []Lane) {
 			e.rngWC[l].Seed(ln.Seed)
 		}
 		e.o[l] = ln.Params.O
-		// Per-class derivatives, evaluated with the exact expressions of
-		// loggp.Params.Interval and ArrivalDelay.
-		lc := l * e.classes
-		for c, bytes := range e.classBytes {
-			ser := ln.Params.Serialization(bytes)
-			floor := max(ln.Params.O, ser)
-			like := max(ln.Params.Gap, floor)
-			unlike := like
-			if ln.Params.NoCrossGap {
-				unlike = floor
-			}
-			e.adTab[lc+c] = ln.Params.ArrivalDelay(bytes)
-			e.ivLikeTab[lc+c] = like
-			e.ivUnlikeTab[lc+c] = unlike
-		}
+		live++
 	}
+	return live
 }
 
 // runStd replays one communication step of one lane under the standard
@@ -542,7 +694,7 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 	rng := e.rngStd[l]
 	o := e.o[l]
 	inj := e.inj[l]
-	lc := l * e.classes
+	tab := e.tabs[l]
 
 	// Build the selection tree: leaves hold the clocks of processors
 	// with unsent messages, +Inf otherwise.
@@ -621,33 +773,30 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 			head[proc] = slot + 1
 			c := int(sp.sCls[slot])
 			dst := int(sp.sDst[slot])
-			arrival := startSend + e.adTab[lc+c]
+			arrival := startSend + tab[c].ad
 			busy := 0.0
 			if inj != nil {
 				orig := int(sp.sOrig[slot])
 				extraBusy, delay, err := inj.SendOutcome(si, orig, proc, dst, e.classBytes[c], startSend)
-				if err != nil {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): %w", orig, proc, dst, err)
-					return
-				}
-				if math.IsNaN(extraBusy) || math.IsInf(extraBusy, 0) || extraBusy < 0 {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): fault hook returned bad busy time %g",
-						orig, proc, dst, extraBusy)
-					return
-				}
-				busy = extraBusy
 				arrival += delay
-				if math.IsNaN(arrival) || math.IsInf(arrival, 0) {
-					e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): non-finite arrival time %g from fault hook",
-						orig, proc, dst, arrival)
+				busy = extraBusy
+				switch {
+				case err != nil:
+				case math.IsNaN(busy) || math.IsInf(busy, 0) || busy < 0:
+					err = fmt.Errorf("fault hook returned bad busy time %g", busy)
+				case math.IsNaN(arrival) || math.IsInf(arrival, 0):
+					err = fmt.Errorf("non-finite arrival time %g from fault hook", arrival)
+				}
+				if err != nil {
+					e.errs[l] = &MessageError{Step: si, Msg: orig, Src: proc, Dst: dst, Err: err}
 					return
 				}
 			}
 			e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
 			seq++
 			ct[proc] = startSend + o + busy
-			fs[proc] = startSend + e.ivLikeTab[lc+c]
-			fr[proc] = startSend + e.ivUnlikeTab[lc+c]
+			fs[proc] = startSend + tab[c].like
+			fr[proc] = startSend + tab[c].unlike
 			if int32(slot)+1 < sp.off[proc+1] {
 				leaf = ct[proc]
 			}
@@ -655,8 +804,8 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 			c := int(e.popRun(sp, hRun[proc]))
 			e.rebuildHead(sp, proc)
 			ct[proc] = startRecv + o
-			fs[proc] = startRecv + e.ivUnlikeTab[lc+c]
-			fr[proc] = startRecv + e.ivLikeTab[lc+c]
+			fs[proc] = startRecv + tab[c].unlike
+			fr[proc] = startRecv + tab[c].like
 			leaf = ct[proc]
 		}
 		// Re-seat proc in the tree along its leaf-to-root path.
@@ -686,8 +835,8 @@ func (e *Engine) runStd(sp *stepPlan, si, l int) {
 			c := int(e.popRun(sp, hRun[q]))
 			e.rebuildHead(sp, q)
 			ct[q] = start + o
-			fs[q] = start + e.ivUnlikeTab[lc+c]
-			fr[q] = start + e.ivLikeTab[lc+c]
+			fs[q] = start + tab[c].unlike
+			fr[q] = start + tab[c].like
 		}
 	}
 }
@@ -795,7 +944,7 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 	rng := e.rngWC[l]
 	o := e.o[l]
 	inj := e.inj[l]
-	lc := l * e.classes
+	tab := e.tabs[l]
 
 	// Initial candidates: receive buffers are empty, so only processors
 	// with sends and no pending receives are eligible.
@@ -873,28 +1022,26 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 				head[best] = slot + 1
 				c := int(sp.sCls[slot])
 				dst := int(sp.sDst[slot])
-				arrival := start + e.adTab[lc+c]
+				arrival := start + tab[c].ad
 				busy := 0.0
 				if inj != nil {
 					orig := int(sp.sOrig[slot])
 					extraBusy, delay, err := inj.SendOutcome(si, orig, best, dst, e.classBytes[c], start)
-					if err != nil {
-						e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): %w", orig, best, dst, err)
-						return
-					}
 					arrival += delay
 					busy = extraBusy
-					if math.IsNaN(arrival) || math.IsInf(arrival, 0) || math.IsNaN(busy) || math.IsInf(busy, 0) || busy < 0 {
-						e.errs[l] = fmt.Errorf("lanes: message %d (%d->%d): bad fault charge (busy %g, arrival %g)",
-							orig, best, dst, busy, arrival)
+					if err == nil && (math.IsNaN(arrival) || math.IsInf(arrival, 0) || math.IsNaN(busy) || math.IsInf(busy, 0) || busy < 0) {
+						err = fmt.Errorf("bad fault charge (busy %g, arrival %g)", busy, arrival)
+					}
+					if err != nil {
+						e.errs[l] = &MessageError{Step: si, Msg: orig, Src: best, Dst: dst, Worst: true, Err: err}
 						return
 					}
 				}
 				e.push(sp, sp.sRun[slot], dst, arrival, seq, int32(c))
 				seq++
 				ct[best] = start + o + busy
-				fs[best] = start + e.ivLikeTab[lc+c]
-				fr[best] = start + e.ivUnlikeTab[lc+c]
+				fs[best] = start + tab[c].like
+				fr[best] = start + tab[c].unlike
 				if head[best] == sp.off[best+1] {
 					pend[best>>6] &^= 1 << (best & 63)
 				}
@@ -908,8 +1055,8 @@ func (e *Engine) runWC(sp *stepPlan, si, l int) {
 				e.rebuildHead(sp, best)
 				toRecv[best]--
 				ct[best] = start + o
-				fs[best] = start + e.ivUnlikeTab[lc+c]
-				fr[best] = start + e.ivLikeTab[lc+c]
+				fs[best] = start + tab[c].unlike
+				fr[best] = start + tab[c].like
 				e.refreshWC(sp, lp, best)
 			}
 			if key[best] >= min2 {

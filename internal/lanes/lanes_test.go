@@ -1,13 +1,12 @@
 package lanes_test
 
-// The lane engine's contract is bit-identity: every lane must finish at
-// exactly the totals a scalar predictor replay produces for the same
-// configuration. The corpus stresses every divergence source the
-// schedulers have — tie-break RNG consumption (symmetric patterns),
-// worst-case deadlock releases (cyclic rings), rendezvous and
-// no-cross-gap machines, mixed message sizes (byte classes), fault
-// retransmits, jitter, stragglers, degradation windows, and lanes that
-// lose a message and are masked out mid-run.
+// The lane engine's contract is bit-identity with a replay of the same
+// configuration on the sim/worstcase sessions; that differential suite
+// lives in package predictor (TestLanesMatchScalarPredictor), where the
+// session path is the oracle of the quiet-mode lane path. The tests
+// here cover the engine's own contracts: storage reuse, lane isolation,
+// input rejection, cancellation, the loss error chain, and
+// allocation-free steady-state runs.
 
 import (
 	"context"
@@ -22,7 +21,6 @@ import (
 	"loggpsim/internal/lanes"
 	"loggpsim/internal/layout"
 	"loggpsim/internal/loggp"
-	"loggpsim/internal/predictor"
 	"loggpsim/internal/program"
 	"loggpsim/internal/trace"
 )
@@ -64,86 +62,6 @@ func corpus(t *testing.T) map[string]*program.Program {
 		"random": build(9, trace.Random(9, 40, 2048, 5), trace.RandomDAG(9, 30, 4096, 3), trace.Shift(9, 2, 300)),
 		"empty":  build(4, trace.New(4), trace.New(4)),
 		"ge":     gePr,
-	}
-}
-
-// machines returns lane machine variants for p processors: presets, an
-// ablated no-cross-gap machine, and a rendezvous threshold splitting
-// the corpus' message sizes across both protocols.
-func machines(p int) []loggp.Params {
-	noCross := loggp.MeikoCS2(p)
-	noCross.NoCrossGap = true
-	rendez := loggp.Cluster(p)
-	rendez.S = 256
-	return []loggp.Params{loggp.MeikoCS2(p), loggp.LowOverhead(p), noCross, rendez}
-}
-
-func plans() []faults.Plan {
-	return []faults.Plan{
-		{},
-		{Seed: 3, Drop: faults.Drop{Prob: 0.1}},
-		{Seed: 9, Drop: faults.Drop{Prob: 0.08}, Compute: faults.Compute{Jitter: 0.4, Stragglers: 2, Factor: 3}},
-		{Seed: 5, Degrade: []faults.Degrade{{Start: 10, End: 500, GScale: 2.5, LScale: 2}}},
-		// Tight retry budget: lanes will lose messages and mask out.
-		{Seed: 7, Drop: faults.Drop{Prob: 0.3, MaxRetries: 1}},
-	}
-}
-
-// TestLanesMatchScalarPredictor fans every corpus program across lanes
-// covering the machine × seed × fault-plan grid in one engine run, then
-// replays each lane scalar through the predictor and demands exact
-// equality — totals bitwise, losses on exactly the same lanes.
-func TestLanesMatchScalarPredictor(t *testing.T) {
-	model := cost.DefaultAnalytic()
-	for name, pr := range corpus(t) {
-		t.Run(name, func(t *testing.T) {
-			var ls []lanes.Lane
-			for mi, m := range machines(pr.P) {
-				for si, seed := range []int64{1, 42, 999} {
-					plan := plans()[(mi+si)%len(plans())]
-					// Scale a couple of parameters so lanes disagree on the
-					// LogGP vector, not just on seeds and faults.
-					m := m
-					m.L *= 1 + 0.1*float64(si)
-					m.Gap *= 1 + 0.05*float64(mi)
-					ls = append(ls, lanes.Lane{Params: m, Seed: seed, Faults: plan})
-				}
-			}
-			var eng lanes.Engine
-			results, err := eng.Run(pr, lanes.Config{Cost: model}, ls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := predictor.NewEvaluator()
-			lost := 0
-			for l, res := range results {
-				var pred predictor.Prediction
-				cfg := predictor.Config{Params: ls[l].Params, Cost: model, Seed: ls[l].Seed, Faults: ls[l].Faults}
-				refErr := e.PredictInto(&pred, pr, cfg)
-				if refErr != nil {
-					var le *faults.LossError
-					if !errors.As(refErr, &le) {
-						t.Fatalf("lane %d: scalar reference failed: %v", l, refErr)
-					}
-					if res.Err == nil || !errors.As(res.Err, &le) {
-						t.Fatalf("lane %d: scalar lost a message (%v); lane returned %v, %g/%g",
-							l, refErr, res.Err, res.Total, res.TotalWorst)
-					}
-					lost++
-					continue
-				}
-				if res.Err != nil {
-					t.Fatalf("lane %d: scalar succeeded but lane failed: %v", l, res.Err)
-				}
-				if res.Total != pred.Total || res.TotalWorst != pred.TotalWorst {
-					t.Fatalf("lane %d: totals diverge from scalar replay:\nscalar %g / %g\nlane   %g / %g",
-						l, pred.Total, pred.TotalWorst, res.Total, res.TotalWorst)
-				}
-			}
-			if name == "rings" && lost == 0 {
-				t.Fatal("no ring lane lost a message; masking went unexercised")
-			}
-		})
 	}
 }
 
@@ -245,5 +163,33 @@ func TestLostLanePreservesLossError(t *testing.T) {
 	}
 	if fmt.Sprint(le) == "" {
 		t.Fatal("empty loss error")
+	}
+}
+
+// TestRunIntoAllocationFree pins the reuse contract: once a reused
+// engine has seen a program, RunInto with a reused result slice
+// allocates nothing, and Run allocates only its returned slice.
+func TestRunIntoAllocationFree(t *testing.T) {
+	pr := corpus(t)["ge"]
+	cfg := lanes.Config{Cost: cost.DefaultAnalytic()}
+	ls := []lanes.Lane{{Params: loggp.MeikoCS2(pr.P), Seed: 1}, {Params: loggp.Cluster(pr.P), Seed: 2}}
+	var eng lanes.Engine
+	res, err := eng.RunInto(nil, pr, cfg, ls)
+	if err != nil {
+		t.Fatal(err) // warm-up sizes every buffer
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if res, err = eng.RunInto(res, pr, cfg, ls); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state RunInto allocated %v times per run", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := eng.Run(pr, cfg, ls); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("steady-state Run allocated %v times per run, want 1 (the result slice)", allocs)
 	}
 }

@@ -33,8 +33,8 @@ func lossyConfig(p int) Config {
 // TestFailedPredictionDoesNotRepoolEvaluator drives the package-level
 // Predict through a mid-replay failure on a private pool and asserts the
 // poisoned evaluator was dropped: the next Get must construct a fresh
-// evaluator (nil sessions), not hand back the one whose sessions the
-// failed replay left mid-program.
+// evaluator (no engine, no sessions), not hand back the one whose state
+// the failed replay left mid-program.
 func TestFailedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // keep the pool's per-P caches to one
 	old := evalPool
@@ -50,12 +50,12 @@ func TestFailedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 			t.Fatalf("lossy prediction failed with %v, want *faults.LossError", err)
 		}
 	}
-	if e := evalPool.Get().(*Evaluator); e.sim != nil || e.wc != nil {
+	if e := evalPool.Get().(*Evaluator); used(e) {
 		t.Fatal("pool returned a used evaluator after a failed prediction; it must have been dropped")
 	}
 
 	// The success path still repools: two predictions in a row reuse
-	// one evaluator (its sessions are non-nil the second time around).
+	// one evaluator (its engine is non-nil the second time around).
 	// Not assertable under -race, where sync.Pool drops Puts at random
 	// by design.
 	good := Config{Params: loggp.MeikoCS2(4), Cost: cost.DefaultAnalytic(), Seed: 3}
@@ -64,7 +64,7 @@ func TestFailedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 	}
 	if !raceEnabled {
 		e := evalPool.Get().(*Evaluator)
-		if e.sim == nil || e.wc == nil {
+		if !used(e) {
 			t.Fatal("pool lost the evaluator of a successful prediction")
 		}
 		evalPool.Put(e)
@@ -94,9 +94,15 @@ func TestPanickedPredictionDoesNotRepoolEvaluator(t *testing.T) {
 			Seed:   3,
 		})
 	}()
-	if e := evalPool.Get().(*Evaluator); e.sim != nil || e.wc != nil {
+	if e := evalPool.Get().(*Evaluator); used(e) {
 		t.Fatal("pool returned a used evaluator after a panicked prediction")
 	}
+}
+
+// used reports whether an evaluator has run a prediction on either
+// path: a fresh one has neither a lane engine nor sessions.
+func used(e *Evaluator) bool {
+	return e.eng != nil || e.sim != nil || e.wc != nil
 }
 
 // panicModel is a cost model that panics — a stand-in for any bug

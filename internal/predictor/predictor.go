@@ -13,16 +13,31 @@
 // the same quantity a timer around each communication phase of a real
 // execution measures, waiting included) and the computation time (the
 // summed operation costs).
+//
+// Two engines replay the communication phases. Quiet-mode predictions —
+// no SendPriority, GlobalOrder, Network, Overlap, CacheBytes or
+// CollectSteps — run on the lockstep lane engine (package lanes) at
+// width one, which replicates the schedulers' reference loops decision
+// for decision at a fraction of the sessions' cost. The configurations
+// that need more than clocks (the ablation switches, an explicit
+// network, the overlap and cache models, per-step profiles) take the
+// session path: the sim and worstcase sessions stepped side by side.
+// The choice follows from the configuration alone, both paths produce
+// bit-identical predictions and error texts where both apply, and the
+// session path is the in-package oracle the lane path is
+// differentially tested against.
 package predictor
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"loggpsim/internal/cache"
 	"loggpsim/internal/cost"
 	"loggpsim/internal/faults"
+	"loggpsim/internal/lanes"
 	"loggpsim/internal/loggp"
 	"loggpsim/internal/program"
 	"loggpsim/internal/sim"
@@ -148,15 +163,20 @@ type StepProfile struct {
 	Finish float64
 }
 
-// Evaluator owns the reusable state of one prediction pipeline: the two
-// simulator sessions (standard and worst-case) and every scratch buffer
-// the replay loop needs. Sweeps that evaluate hundreds of candidate
+// Evaluator owns the reusable state of one prediction pipeline: the
+// lane engine of the quiet-mode path, the two simulator sessions
+// (standard and worst-case) of the session path, and every scratch
+// buffer either replay needs. Sweeps that evaluate hundreds of candidate
 // programs keep one evaluator per worker and call PredictInto, making
 // steady-state candidate evaluation allocation-free; the package-level
 // Predict draws evaluators from a shared pool, so every existing caller
 // gets the reuse without a signature change. An Evaluator must not be
 // used concurrently from multiple goroutines.
 type Evaluator struct {
+	eng  *lanes.Engine
+	lane [1]lanes.Lane
+	res  []lanes.Result
+
 	sim *sim.Session
 	wc  *worstcase.Session
 
@@ -220,10 +240,12 @@ func grow(buf []float64, n int) []float64 {
 }
 
 // PredictInto runs the method on a program, writing the result over
-// *out (whose slices are reused when large enough). With cache-aware
-// mode off and CollectSteps off, a steady-state call performs no heap
-// allocation: the sessions are re-aimed with Reconfigure, and every
-// scratch buffer lives on the evaluator.
+// *out (whose slices are reused when large enough). A steady-state
+// quiet-mode call without faults performs no heap allocation: the lane
+// engine rebuilds its plan in the storage of the previous call. The
+// session path is allocation-free too with cache-aware mode and
+// CollectSteps off: the sessions are re-aimed with Reconfigure, and
+// every scratch buffer lives on the evaluator.
 func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config) error {
 	if cfg.Cost == nil {
 		return fmt.Errorf("predictor: no cost model")
@@ -233,10 +255,77 @@ func (e *Evaluator) PredictInto(out *Prediction, pr *program.Program, cfg Config
 			return err
 		}
 	}
+	if quiet(cfg) {
+		if done, err := e.predictLanes(out, pr, cfg); done {
+			return err
+		}
+	}
+	return e.predictSessions(out, pr, cfg)
+}
+
+// quiet reports whether cfg asks for nothing but clocks and the fault
+// plan: the configurations the lane engine replays.
+func quiet(cfg Config) bool {
+	return !cfg.SendPriority && !cfg.GlobalOrder && cfg.Network == nil &&
+		!cfg.Overlap && cfg.CacheBytes <= 0 && !cfg.CollectSteps
+}
+
+// predictLanes runs a quiet-mode prediction on the evaluator's lane
+// engine with one lane. It reports done=false, leaving *out
+// unspecified, when the run failed in a way the engine words
+// differently from the sessions (an invalid program, a rejected
+// machine or fault plan, a negative computation charge, an unusable
+// hook charge): the caller
+// then replays on the session path, which reproduces the session
+// wording exactly. A lost message and a cancelled context are reworded
+// here, keeping the session path's text and error chain.
+func (e *Evaluator) predictLanes(out *Prediction, pr *program.Program, cfg Config) (done bool, err error) {
+	if e.eng == nil {
+		e.eng = new(lanes.Engine)
+	}
+	e.lane[0] = lanes.Lane{Params: cfg.Params, Seed: cfg.Seed, Faults: cfg.Faults}
+	e.res, err = e.eng.RunInto(e.res, pr, lanes.Config{Cost: cfg.Cost, Ctx: cfg.Ctx}, e.lane[:])
+	if err != nil {
+		var se *lanes.StepError
+		if errors.As(err, &se) {
+			return true, fmt.Errorf("predictor: step %d of %d: %w", se.Step, se.Steps, se.Err)
+		}
+		return false, nil
+	}
+	r := e.res[0]
+	if r.Err != nil {
+		var me *lanes.MessageError
+		var le *faults.LossError
+		if !errors.As(r.Err, &me) || !errors.As(me.Err, &le) {
+			return false, nil
+		}
+		sched := "sim"
+		if me.Worst {
+			sched = "worstcase"
+		}
+		return true, fmt.Errorf("predictor: step %d: %s: message %d (%d->%d): %w (session state is inconsistent; Reset before reuse)",
+			me.Step, sched, me.Msg, me.Src, me.Dst, me.Err)
+	}
+	*out = Prediction{
+		Total:       r.Total,
+		TotalWorst:  r.TotalWorst,
+		Comp:        r.Comp,
+		CompPerProc: grow(out.CompPerProc, pr.P),
+		Comm:        r.Comm,
+		CommWorst:   r.CommWorst,
+		Steps:       len(pr.Steps),
+	}
+	copy(out.CompPerProc, e.eng.CompPerProc(0))
+	return true, nil
+}
+
+// predictSessions runs the method on the sim and worstcase sessions,
+// stepping them side by side. It serves every configuration, and is
+// the only path for the ones quiet rejects.
+func (e *Evaluator) predictSessions(out *Prediction, pr *program.Program, cfg Config) error {
 	if err := pr.Validate(); err != nil {
 		return err
 	}
-
 	// A disabled plan yields a nil injector and nil hooks, keeping the
 	// zero-fault path identical to a build without fault support.
 	injector, err := cfg.Faults.Injector(cfg.Params)

@@ -33,10 +33,13 @@ func figure7Config(samples int) Config {
 
 func benchEnvelope(b *testing.B, samples int, scalar bool) {
 	cfg := figure7Config(samples)
-	cfg.Scalar = scalar
+	run := Run
+	if scalar {
+		run = runScalar
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		envs, err := Run(cfg)
+		envs, err := run(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -69,9 +69,8 @@ func TestLockstepMatchesScalar(t *testing.T) {
 	for name, cfg := range lockstepCases() {
 		t.Run(name, func(t *testing.T) {
 			scfg := cfg
-			scfg.Scalar = true
 			scfg.Workers = 1
-			want, err := Run(scfg)
+			want, err := runScalar(scfg)
 			if err != nil {
 				t.Fatal(err)
 			}
